@@ -7,9 +7,9 @@ GO ?= go
 # closed-loop serving-throughput sweep, the Hamming-index scaling sweep, the
 # mixed-ingest run and the wire-level serving sweep with the result cache
 # off/on) and merges them into $(BENCH_OUT); check-bench re-measures the
-# microbenchmarks and fails if a gated benchmark (filter scan, multi-query
-# Hamming kernel, index probe, concurrent query pipeline with and without
-# trace recording) regressed >20% ns/op vs the committed artifact, or if the
+# microbenchmarks and fails if a gated benchmark (filter scan, index probe,
+# concurrent query pipeline with and without trace recording, l1 kernel)
+# regressed >20% ns/op vs the committed artifact, or if the
 # committed scaling sweep shows the indexed filter losing to the scan, or if
 # the committed serving sweep's hot-cached arm falls under 2x the uncached
 # throughput.
@@ -33,8 +33,8 @@ race:
 	$(GO) test -race ./...
 
 # Quick race pass over just the concurrency-heavy packages (telemetry hot
-# paths, parallel query scans, the TCP server and the transactional store)
-# for tight edit-compile loops; `make race` covers the whole tree.
+# paths, concurrent query pipelines, the TCP server and the transactional
+# store) for tight edit-compile loops; `make race` covers the whole tree.
 race-fast:
 	$(GO) test -race ./internal/telemetry ./internal/core ./internal/server ./internal/kvstore
 

@@ -16,8 +16,8 @@
 // the paper's dataset sizes; slow). -exp accepts a comma-separated list.
 //
 // The throughput experiment drives closed-loop concurrent clients against
-// the shared-scan query scheduler; -concurrency pins a single client count
-// (default sweeps 1,2,4,8) and -batch skips the unbatched baseline arm.
+// the engine with the arena scan and with the Hamming index; -concurrency
+// pins a single client count (default sweeps 1,2,4,8).
 //
 // -json writes every experiment's rows — including per-phase latency
 // percentiles and throughput — as one JSON document ("-" = stdout).
@@ -38,7 +38,6 @@ func main() {
 	scaleName := flag.String("scale", "medium", "dataset scale: small, medium or paper")
 	jsonPath := flag.String("json", "", "write a machine-readable JSON summary to this file (\"-\" = stdout)")
 	concurrency := flag.Int("concurrency", 0, "throughput: closed-loop client count (0 = sweep 1,2,4,8)")
-	batchOnly := flag.Bool("batch", false, "throughput: only the batched (shared-scan scheduler) arm")
 	flag.Parse()
 
 	scale, ok := experiments.ByName(*scaleName)
@@ -160,8 +159,8 @@ func main() {
 	}
 	if want("throughput") {
 		ran = true
-		run("throughput", "Serving throughput: shared-scan scheduler", func() (any, error) {
-			opts := experiments.ThroughputOptions{BatchedOnly: *batchOnly}
+		run("throughput", "Serving throughput: arena scan vs Hamming index", func() (any, error) {
+			opts := experiments.ThroughputOptions{}
 			if *concurrency > 0 {
 				opts.Concurrencies = []int{*concurrency}
 			}

@@ -14,12 +14,12 @@
 //	ferret-benchcmp -baseline BENCH_2.json -new current.json
 //
 // The gate is a comma-separated list of name substrings (default covers the
-// filter scan, the multi-query Hamming kernel, the Hamming-index probe and
-// the concurrent serving pipeline); other shared benchmarks are reported
-// informationally. When the baseline artifact carries a scaling sweep
-// (ferret-bench -exp scaling), compare mode additionally fails if the sweep
-// shows the indexed filter losing to the arena scan at its largest corpus,
-// or any point with non-identical results.
+// filter scan, the Hamming-index probe, the concurrent serving pipeline and
+// the l1 kernel); other shared benchmarks are reported informationally.
+// When the baseline artifact carries a scaling sweep (ferret-bench -exp
+// scaling), compare mode additionally fails if the sweep shows the indexed
+// filter losing to the arena scan at its largest corpus, or any point with
+// non-identical results.
 package main
 
 import (
@@ -435,7 +435,7 @@ func main() {
 	out := flag.String("out", "-", "merged artifact path (merge mode)")
 	baseline := flag.String("baseline", "", "committed baseline artifact (compare mode)")
 	newPath := flag.String("new", "", "freshly measured artifact (compare mode)")
-	gate := flag.String("gate", "FilterScanArena,HammingSelectMulti,HammingIndexProbe,QueryPipelineConcurrent,QueryPipelineTraced,BenchmarkL1",
+	gate := flag.String("gate", "FilterScanArena,HammingIndexProbe,QueryPipelineConcurrent,QueryPipelineTraced,BenchmarkL1",
 		"comma-separated substrings naming the gated benchmark(s)")
 	threshold := flag.Float64("threshold", 0.20, "maximum tolerated fractional ns/op regression")
 	flag.Parse()

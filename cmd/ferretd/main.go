@@ -50,8 +50,6 @@ func main() {
 		budget    = flag.Duration("query-budget", 0, "per-query time budget; expired queries answer degraded (0 = unbounded)")
 		maxConns  = flag.Int("max-conns", 0, "max concurrent protocol connections; excess get a BUSY error (0 = unlimited)")
 		grace     = flag.Duration("shutdown-grace", 10*time.Second, "drain window for in-flight queries on SIGTERM/SIGINT")
-		batchWin  = flag.Duration("batch-window", 0, "coalescing window for sharing arena scans across concurrent queries (0 = disabled)")
-		batchMax  = flag.Int("batch-max", 0, "max queries per shared arena scan (0 = default 8)")
 		hindexOn  = flag.Bool("hindex", false, "build the multi-table Hamming index over segment sketches (sub-linear filter; falls back to the scan per query segment when the cost model says so)")
 		hindexTbl = flag.Int("hindex-tables", 0, "Hamming index substring table count m; probes answer radius m-1 exactly (0 = default 16)")
 		hindexFrc = flag.Float64("hindex-frac", 0, "Hamming index cost-model threshold: fall back to the arena scan when a probe would visit more than this fraction of indexed rows (0 = default 0.25)")
@@ -83,7 +81,6 @@ func main() {
 	if *relaxed {
 		cfg = ferret.RelaxedDurability(cfg)
 	}
-	cfg.Scheduler = ferret.SchedulerParams{Window: *batchWin, MaxBatch: *batchMax}
 	if *hindexOn {
 		cfg.HIndex = ferret.HIndexParams{Enable: true, Tables: *hindexTbl, MaxCandidateFrac: *hindexFrc}
 	}

@@ -75,9 +75,6 @@ type (
 	SketchParams = sketch.Params
 	// FilterParams tunes the filtering unit.
 	FilterParams = core.FilterParams
-	// SchedulerParams configures the shared-scan query scheduler that
-	// coalesces concurrent searches into batched arena passes.
-	SchedulerParams = core.SchedulerParams
 	// HIndexParams configures the multi-table Hamming index over the
 	// sketch arena (sub-linear filtering); the Config.HIndex field.
 	HIndexParams = core.HIndexParams
@@ -234,13 +231,6 @@ func (s *System) Query(q Object, opt QueryOptions) ([]Result, error) {
 // set rather than an error.
 func (s *System) Search(ctx context.Context, q Object, opt QueryOptions) (Answer, error) {
 	return s.engine.Search(ctx, q, opt)
-}
-
-// SearchBatch runs several queries as one batched unit sharing arena scans
-// (see core.Engine.SearchBatch); the returned slices are parallel to
-// queries.
-func (s *System) SearchBatch(ctx context.Context, queries []Object, opt QueryOptions) ([]Answer, []error) {
-	return s.engine.SearchBatch(ctx, queries, opt)
 }
 
 // QueryFile extracts a file and uses it as the query object.

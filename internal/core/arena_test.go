@@ -173,7 +173,6 @@ func TestArenaIntegrityAcrossMutations(t *testing.T) {
 func TestQueryConcurrentWithIngestCompact(t *testing.T) {
 	const d = 8
 	cfg := testConfig(t.TempDir(), d)
-	cfg.Parallelism = 2
 	e := openEngine(t, cfg)
 	objs := ingestVaried(t, e, 30, d)
 

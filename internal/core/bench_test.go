@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
-	"time"
 
 	"ferret/internal/metastore"
 	"ferret/internal/object"
@@ -217,14 +216,13 @@ func BenchmarkQueryPipelinePruned(b *testing.B)   { benchPipeline(b, false) }
 func BenchmarkQueryPipelineUnpruned(b *testing.B) { benchPipeline(b, true) }
 
 // BenchmarkQueryPipelineConcurrent drives Filtering-mode queries from eight
-// closed-loop clients through the coalescing scheduler: ns/op is the
-// amortized per-query wall time under concurrent load. Compare against
-// BenchmarkQueryPipelinePruned (the one-query-at-a-time cost) for the
-// shared-scan win; `make check-bench` gates this one against regression.
+// closed-loop clients, each running the serial pipeline on its own
+// goroutine: ns/op is the amortized per-query wall time under concurrent
+// load. Compare against BenchmarkQueryPipelinePruned (the one-query-at-a-
+// time cost); `make check-bench` gates this one against regression.
 func BenchmarkQueryPipelineConcurrent(b *testing.B) {
 	e, q, _ := benchEngine(b, func(cfg *Config) {
 		cfg.RankThreshold = 2
-		cfg.Scheduler = SchedulerParams{Window: 200 * time.Microsecond, MaxBatch: 8}
 	})
 	opt := benchFilterOpts()
 	b.SetParallelism(8) // 8 client goroutines at GOMAXPROCS=1
@@ -238,11 +236,6 @@ func BenchmarkQueryPipelineConcurrent(b *testing.B) {
 			}
 		}
 	})
-	b.StopTimer()
-	reg := e.Telemetry()
-	if n := reg.Value("ferret_batches_total"); n > 0 {
-		b.ReportMetric(reg.Value("ferret_queries_coalesced_total")/n, "coalesced/batch")
-	}
 }
 
 // BenchmarkQueryPipelineTraced is BenchmarkQueryPipelineConcurrent with the
@@ -253,7 +246,6 @@ func BenchmarkQueryPipelineConcurrent(b *testing.B) {
 func BenchmarkQueryPipelineTraced(b *testing.B) {
 	e, q, _ := benchEngine(b, func(cfg *Config) {
 		cfg.RankThreshold = 2
-		cfg.Scheduler = SchedulerParams{Window: 200 * time.Microsecond, MaxBatch: 8}
 		cfg.Trace = trace.Params{SampleEvery: -1, SlowThreshold: -1}
 	})
 	opt := benchFilterOpts()

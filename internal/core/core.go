@@ -187,15 +187,6 @@ type Config struct {
 	// Prune tunes the ranking unit's sketch lower-bound EMD pruning. Only
 	// effective with the built-in EMD object distance (ObjectDistance nil).
 	Prune PruneParams
-	// Parallelism splits query scans (brute force and filtering) across
-	// this many goroutines. 0 or 1 scans serially; negative uses
-	// GOMAXPROCS.
-	Parallelism int
-	// Scheduler configures the shared-scan query scheduler that coalesces
-	// concurrent Search calls into batched arena passes (see scheduler.go).
-	// The zero value disables coalescing; SearchBatch still batches
-	// explicitly.
-	Scheduler SchedulerParams
 	// HIndex optionally accelerates the filtering unit with a dynamic
 	// multi-table Hamming index over the sketch arena (see internal/hindex
 	// and probe.go): sub-linear filter cost in corpus size, bit-identical
@@ -266,12 +257,11 @@ type QueryOptions struct {
 	// Trace, when non-nil, is an externally-armed recording buffer the
 	// query's pipeline spans land in — the server arms one per traced
 	// request so the trace also covers protocol parse and response write.
-	// nil lets the engine arm (and head-sample) its own. Single queries
-	// only; SearchBatch arms per-query engine traces regardless.
+	// nil lets the engine arm (and head-sample) its own.
 	Trace *trace.Active
 	// ForceTrace forces retention of the engine-armed trace and attaches
 	// its identity and stage breakdown to the Answer — the programmatic
-	// way to trace one query (and BATCHQUERY's per-query path). Ignored
+	// way to trace one query (and each BATCHQUERY item). Ignored
 	// when Trace is set: the caller owns retention then.
 	ForceTrace bool
 }
@@ -319,8 +309,13 @@ type sketchEntry struct {
 	dead bool
 }
 
+// ErrEngineClosed is returned by Search, SearchByID, Ingest, IngestQueued
+// and Delete once Close has been called.
+var ErrEngineClosed = errors.New("core: engine closed")
+
 // Engine is the core similarity search engine. It is safe for concurrent
-// queries; ingest is serialized internally.
+// queries; ingest is serialized internally. Every query runs the serial
+// filter → rank pipeline on its caller's goroutine.
 type Engine struct {
 	cfg     Config
 	meta    *metastore.Store
@@ -336,13 +331,10 @@ type Engine struct {
 	met            *engineMetrics
 	tracer         *trace.Tracer
 
-	// pool is the persistent scan/rank worker pool (started at Open,
-	// stopped by Close); sched, when non-nil, coalesces concurrent Search
-	// calls into shared arena scans; queue, when non-nil, is the bounded
-	// ingest queue (see ingest.go).
-	pool  *workerPool
-	sched *scheduler
-	queue *ingestQueue
+	// queue, when non-nil, is the bounded ingest queue (see ingest.go);
+	// closed is set by Close and checked at every query and write entry.
+	queue  *ingestQueue
+	closed atomic.Bool
 
 	// rcache is the hot-query result cache (nil when disabled); epoch is
 	// its invalidation clock, bumped under the write lock by every
@@ -468,16 +460,6 @@ func Open(cfg Config) (*Engine, error) {
 	e.met.segments.Set(int64(e.totalRows()))
 	e.met.storageSegs.Set(int64(len(e.segs)))
 	e.updateIndexGauges()
-	// At least two workers even on small hosts, so batch rank fan-out and
-	// the pool-utilization gauge are exercised everywhere.
-	size := e.workers()
-	if size < 2 {
-		size = 2
-	}
-	e.pool = newWorkerPool(size, e.met)
-	if cfg.Scheduler.Window > 0 {
-		e.sched = newScheduler(e, cfg.Scheduler)
-	}
 	if e.cfg.Segments.SealEntries > 0 && e.cfg.Segments.Interval > 0 {
 		e.compactStop = make(chan struct{})
 		e.compactDone = make(chan struct{})
@@ -492,10 +474,12 @@ func Open(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// Close shuts the engine down: the scheduler stops accepting queries and
-// fails anything still queued, the worker pool drains, and the metadata
+// Close shuts the engine down: new queries and writes fail with
+// ErrEngineClosed, the ingest queue and background compactor stop, writes
+// and queries already holding the engine locks finish, and the metadata
 // store is released. Safe to call more than once.
 func (e *Engine) Close() error {
+	e.closed.Store(true)
 	if e.queue != nil {
 		e.queue.close()
 	}
@@ -504,12 +488,10 @@ func (e *Engine) Close() error {
 		<-e.compactDone
 		e.compactStop = nil
 	}
-	if e.sched != nil {
-		e.sched.close()
-	}
-	if e.pool != nil {
-		e.pool.close()
-	}
+	e.ingestMu.Lock()
+	e.mu.Lock()
+	e.mu.Unlock()
+	e.ingestMu.Unlock()
 	return e.meta.Close()
 }
 
@@ -602,6 +584,9 @@ func (e *Engine) updateIndexGauges() {
 // its in-memory entry is tombstoned (skipped by all scans). Tombstones are
 // compacted away by Compact or on the next Open.
 func (e *Engine) Delete(id object.ID) error {
+	if e.closed.Load() {
+		return ErrEngineClosed
+	}
 	if err := e.meta.DeleteObject(id, func(txn *kvstore.Txn, id object.ID) {
 		e.attrs.Delete(txn, id)
 	}); err != nil {
@@ -641,6 +626,9 @@ func (e *Engine) Delete(id object.ID) error {
 // all metadata (feature vectors unless SketchOnly, sketches, key mapping,
 // attributes) is committed in a single transaction.
 func (e *Engine) Ingest(o object.Object, attrs attr.Attrs) (object.ID, error) {
+	if e.closed.Load() {
+		return 0, ErrEngineClosed
+	}
 	start := time.Now()
 	if err := o.Validate(); err != nil {
 		return 0, fmt.Errorf("core: invalid object %q: %w", o.Key, err)
@@ -696,6 +684,10 @@ func (e *Engine) Ingest(o object.Object, attrs attr.Attrs) (object.ID, error) {
 // the query object. In SketchOnly databases only sketch modes are
 // meaningful.
 func (e *Engine) SearchByID(ctx context.Context, id object.ID, opt QueryOptions) (Answer, error) {
+	if e.closed.Load() {
+		e.met.queryErrors.Inc()
+		return Answer{}, ErrEngineClosed
+	}
 	if opt.K <= 0 {
 		opt.K = 10
 	}
@@ -752,6 +744,10 @@ func (e *Engine) QueryByID(id object.ID, opt QueryOptions) ([]Result, error) {
 // filter, rank) and pipeline counters are recorded in the engine's
 // telemetry registry.
 func (e *Engine) Search(ctx context.Context, q object.Object, opt QueryOptions) (Answer, error) {
+	if e.closed.Load() {
+		e.met.queryErrors.Inc()
+		return Answer{}, ErrEngineClosed
+	}
 	if opt.K <= 0 {
 		opt.K = 10
 	}
@@ -774,7 +770,7 @@ func (e *Engine) Search(ctx context.Context, q object.Object, opt QueryOptions) 
 	return e.searchObject(ctx, q, opt)
 }
 
-// searchObject validates and routes one query without consulting the
+// searchObject validates one query and runs it without consulting the
 // cache; opt.K must already be resolved.
 func (e *Engine) searchObject(ctx context.Context, q object.Object, opt QueryOptions) (Answer, error) {
 	if err := q.Validate(); err != nil {
@@ -785,16 +781,12 @@ func (e *Engine) searchObject(ctx context.Context, q object.Object, opt QueryOpt
 		e.met.queryErrors.Inc()
 		return Answer{}, fmt.Errorf("core: query dimension %d, engine expects %d", q.Dim(), e.builder.Dim())
 	}
-	if e.sched != nil && e.batchable(opt) {
-		return e.sched.search(ctx, q, opt)
-	}
 	return e.searchOne(ctx, q, opt)
 }
 
-// searchOne is the serial single-query pipeline — the coalescing scheduler
-// routes around it, everything else (brute-force modes, restricted or
-// exact-distance queries, engines without a scheduler) runs through it.
-// The query object must already be validated and opt.K resolved.
+// searchOne is the single-query pipeline every query object runs through,
+// on its caller's goroutine. The query object must already be validated
+// and opt.K resolved.
 func (e *Engine) searchOne(ctx context.Context, q object.Object, opt QueryOptions) (Answer, error) {
 	e.met.inflight.Add(1)
 	defer e.met.inflight.Add(-1)
@@ -993,12 +985,11 @@ func (e *Engine) buildSketchSet(q object.Object) *metastore.SketchSet {
 }
 
 // rankAll is BruteForceOriginal: the accurate object distance against every
-// (non-restricted) object, sharded across the configured parallelism. In
-// LowMemory mode each feature-vector record is fetched from the metadata
-// store as the scan reaches it.
+// (non-restricted) object. In LowMemory mode each feature-vector record is
+// fetched from the metadata store as the scan reaches it.
 func (e *Engine) rankAll(clk *queryClock, q object.Object, opt QueryOptions) []Result {
 	if e.cfg.LowMemory {
-		return e.rankParallel(clk, len(e.entries), opt, func(i int) (Result, bool) {
+		return e.rankScan(clk, len(e.entries), opt, func(i int) (Result, bool) {
 			ent := &e.entries[i]
 			if ent.dead {
 				return Result{}, false
@@ -1013,7 +1004,7 @@ func (e *Engine) rankAll(clk *queryClock, q object.Object, opt QueryOptions) []R
 			return Result{ID: ent.id, Key: ent.key, Distance: e.objDist(q, o)}, true
 		})
 	}
-	return e.rankParallel(clk, len(e.objects), opt, func(i int) (Result, bool) {
+	return e.rankScan(clk, len(e.objects), opt, func(i int) (Result, bool) {
 		o := &e.objects[i]
 		if e.entries[i].dead {
 			return Result{}, false
@@ -1028,7 +1019,7 @@ func (e *Engine) rankAll(clk *queryClock, q object.Object, opt QueryOptions) []R
 // rankAllSketch is BruteForceSketch: sketch-estimated object distance
 // against every object.
 func (e *Engine) rankAllSketch(clk *queryClock, qset *metastore.SketchSet, opt QueryOptions) []Result {
-	return e.rankParallel(clk, len(e.entries), opt, func(i int) (Result, bool) {
+	return e.rankScan(clk, len(e.entries), opt, func(i int) (Result, bool) {
 		ent := &e.entries[i]
 		if ent.dead {
 			return Result{}, false
@@ -1038,6 +1029,30 @@ func (e *Engine) rankAllSketch(clk *queryClock, qset *metastore.SketchSet, opt Q
 		}
 		return Result{ID: ent.id, Key: ent.key, Distance: e.sketchObjectDistanceAt(qset, i)}, true
 	})
+}
+
+// rankScan runs a distance function over the (restricted) index range,
+// keeping the top K. The query clock is checked every rankCheckStride
+// evaluations: context cancellation aborts the scan (the caller surfaces
+// the error), budget expiry stops it early — the caller reads the latched
+// expiry (budgetHit) and marks the answer degraded. Brute-force modes have
+// no candidate tail to fall back on, so degradation here means "best of the
+// prefix scanned in time".
+func (e *Engine) rankScan(clk *queryClock, n int, opt QueryOptions, distance func(idx int) (Result, bool)) []Result {
+	top := newTopK(opt.K)
+	evals := 0
+	for i := 0; i < n; i++ {
+		if i%rankCheckStride == 0 && (clk.stop() || clk.overBudget()) {
+			break
+		}
+		if r, ok := distance(i); ok {
+			evals++
+			top.push(r)
+		}
+	}
+	e.met.emdEvals.Add(evals)
+	e.met.heapTrims.Add(top.trims)
+	return top.sorted()
 }
 
 const infinity = 1e300

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"sync/atomic"
 	"time"
 )
 
@@ -17,19 +16,18 @@ import (
 //     results ranked so far with the remainder filled in sketch-distance
 //     order and Answer.Degraded set.
 //
-// Both signals latch atomically so parallel scan shards can observe a
-// cancellation or expiry seen by any other shard without re-reading the
+// Both signals latch, so later checks skip re-reading the context or the
 // clock, and so "degraded" reflects only expiry observed by a rank loop —
 // a budget that runs out after the last evaluation does not taint a
-// complete answer.
+// complete answer. A clock belongs to one query on one goroutine.
 type queryClock struct {
 	ctx context.Context
 	// deadline is the budget expiry instant; zero means no budget.
 	deadline time.Time
 	// expired latches budget expiry once a rank loop observes it.
-	expired atomic.Bool
+	expired bool
 	// cancelled latches context cancellation once any loop observes it.
-	cancelled atomic.Bool
+	cancelled bool
 }
 
 // reset re-arms a (pooled) clock for one query.
@@ -40,18 +38,18 @@ func (c *queryClock) reset(ctx context.Context, budget time.Duration) {
 	} else {
 		c.deadline = time.Time{}
 	}
-	c.expired.Store(false)
-	c.cancelled.Store(false)
+	c.expired = false
+	c.cancelled = false
 }
 
 // stop reports whether the query's context has been cancelled; loops call
 // it at block granularity and halt when it fires.
 func (c *queryClock) stop() bool {
-	if c.cancelled.Load() {
+	if c.cancelled {
 		return true
 	}
 	if c.ctx != nil && c.ctx.Err() != nil {
-		c.cancelled.Store(true)
+		c.cancelled = true
 		return true
 	}
 	return false
@@ -72,11 +70,11 @@ func (c *queryClock) overBudget() bool {
 	if c.deadline.IsZero() {
 		return false
 	}
-	if c.expired.Load() {
+	if c.expired {
 		return true
 	}
 	if !time.Now().Before(c.deadline) {
-		c.expired.Store(true)
+		c.expired = true
 		return true
 	}
 	return false
@@ -84,7 +82,7 @@ func (c *queryClock) overBudget() bool {
 
 // budgetHit reports whether a rank loop has observed budget expiry, without
 // consulting the wall clock.
-func (c *queryClock) budgetHit() bool { return c.expired.Load() }
+func (c *queryClock) budgetHit() bool { return c.expired }
 
 // Loop strides for the periodic checks: cheap enough to keep overhead
 // invisible, frequent enough that cancellation latency stays in the tens of

@@ -21,8 +21,7 @@ import (
 type queryScratch struct {
 	order []int      // query segments by descending weight
 	cands []int      // candidate entry indices (union over query segments)
-	heaps []*segHeap // per-shard k-nearest heaps + one merge slot
-	scans []int      // per-shard scan counts
+	heaps []*segHeap // k-nearest heaps: 0 = accumulator, 1 = index probe
 	hits  []int32    // block-relative row indices selected by the scan kernel
 	dist  []int32    // Hamming distances of the selected rows
 	probe []int32    // candidate rows streamed out of the Hamming index
@@ -30,9 +29,8 @@ type queryScratch struct {
 
 	// Filter-mode accounting for the answer's mode=index|scan flag: (query
 	// segment × storage segment) units served by a Hamming-index probe vs.
-	// by an arena scan. scannedN counts the objects those units visited, for
-	// the shared batched path's per-request attribution.
-	idxSegs, scanSegs, scannedN int
+	// by an arena scan.
+	idxSegs, scanSegs int
 
 	// Ranking-unit scratch (sketch lower-bound pruning).
 	lbs    []lbCand
@@ -41,13 +39,11 @@ type queryScratch struct {
 	ow     []float64
 
 	// clk is the query's cancellation/budget clock, pooled here so the
-	// zero-allocation filter path stays allocation-free even though scan
-	// goroutines capture a pointer to it.
+	// filter path stays allocation-free.
 	clk queryClock
 
-	// trp points at the query's active trace recording buffer — own for
-	// serial queries, the scheduler request's for batched ones, or the
-	// caller-supplied one from QueryOptions.Trace. nil (or a disarmed
+	// trp points at the query's active trace recording buffer — own, or
+	// the caller-supplied one from QueryOptions.Trace. nil (or a disarmed
 	// target) makes every recording call a no-op, so the filter path stays
 	// allocation-free either way. Cleared by putScratch.
 	trp *trace.Active
@@ -68,7 +64,7 @@ func getScratch() *queryScratch {
 	// Zero the per-query mode accounting here, not only in filter():
 	// brute-force and sketch-only queries never run the filter stage, and a
 	// reused scratch must not leak the previous query's FilterMode.
-	sc.idxSegs, sc.scanSegs, sc.scannedN = 0, 0, 0
+	sc.idxSegs, sc.scanSegs = 0, 0
 	return sc
 }
 
@@ -77,8 +73,7 @@ func putScratch(sc *queryScratch) {
 	scratchPool.Put(sc)
 }
 
-// heap returns the i-th pooled segment heap reset to capacity k. Shard
-// heaps must be claimed before goroutines fan out (the slice may grow).
+// heap returns the i-th pooled segment heap reset to capacity k.
 func (sc *queryScratch) heap(i, k int) *segHeap {
 	for len(sc.heaps) <= i {
 		sc.heaps = append(sc.heaps, newSegHeap(k))
@@ -154,7 +149,6 @@ func (e *Engine) filter(clk *queryClock, q *object.Object, qset *metastore.Sketc
 
 	cands := sc.cands[:0]
 	n := e.builder.N()
-	workers := e.workers()
 	for _, qi := range order {
 		if clk.stop() {
 			break
@@ -185,7 +179,7 @@ func (e *Engine) filter(clk *queryClock, q *object.Object, qset *metastore.Sketc
 					continue
 				}
 			}
-			scanned += e.scanSegment(clk, seg, qsk, maxHam, p.NearestPerSegment, workers, opt, sc, acc)
+			scanned += e.scanSegment(clk, seg, qsk, maxHam, opt, sc, acc)
 			sc.scanSegs++
 		}
 		cands = append(cands, acc.items()...)
@@ -208,75 +202,33 @@ func (e *Engine) filter(clk *queryClock, q *object.Object, qset *metastore.Sketc
 
 // scanSegment streams one storage segment's arena for one query segment,
 // pushing survivors into the cross-segment accumulator acc (heap slot 0;
-// the probe's temp heap is slot 1, parallel shard heaps start at slot 2).
-// Returns the number of objects scanned. Results are identical to a
-// single-arena scan: every push applies the global (hamming, entry) pair
-// order.
-func (e *Engine) scanSegment(clk *queryClock, seg *segment, qsk sketch.Sketch, maxHam, k, workers int, opt QueryOptions, sc *queryScratch, acc *segHeap) int {
-	fast := opt.Restrict == nil && seg.deleted == 0
-	if workers <= 1 {
-		if fast {
-			hits, dist := sc.selectBlocks()
-			e.scanArenaRows(clk, seg, qsk, maxHam, acc, hits, dist, 0, seg.arena.rows())
-			return seg.n
-		}
-		return e.scanEntryRange(clk, seg, qsk, maxHam, acc, opt, 0, seg.n)
+// the probe's temp heap is slot 1). Returns the number of objects scanned.
+// Results are identical to a single-arena scan: every push applies the
+// global (hamming, entry) pair order.
+func (e *Engine) scanSegment(clk *queryClock, seg *segment, qsk sketch.Sketch, maxHam int, opt QueryOptions, sc *queryScratch, acc *segHeap) int {
+	if opt.Restrict == nil && seg.deleted == 0 {
+		hits, dist := sc.selectBlocks()
+		e.scanArenaRows(clk, seg, qsk, maxHam, acc, hits, dist)
+		return seg.n
 	}
-
-	// Parallel scan: claim all shard heaps before the goroutines fan out,
-	// then shard the segment's arena rows (fast path) or its entry range
-	// (slow path) and merge the shard heaps into the accumulator.
-	for s := 0; s < workers; s++ {
-		sc.heap(2+s, k)
-	}
-	if cap(sc.scans) < workers {
-		sc.scans = make([]int, workers)
-	}
-	scans := sc.scans[:workers]
-	for i := range scans {
-		scans[i] = 0
-	}
-	scanned := 0
-	if fast {
-		e.parallelScan(seg.arena.rows(), workers, func(shard, lo, hi int) {
-			var hits, dist [batchRows]int32
-			e.scanArenaRows(clk, seg, qsk, maxHam, sc.heaps[2+shard], hits[:], dist[:], lo, hi)
-		})
-		scanned = seg.n
-	} else {
-		e.parallelScan(seg.n, workers, func(shard, lo, hi int) {
-			scans[shard] = e.scanEntryRange(clk, seg, qsk, maxHam, sc.heaps[2+shard], opt, lo, hi)
-		})
-		for _, n := range scans {
-			scanned += n
-		}
-	}
-	for s := 0; s < workers; s++ {
-		h := sc.heaps[2+s]
-		for i := range h.entry {
-			// Unconditional: push itself applies the (hamming, entry) pair
-			// order, so ties at the merge bound resolve identically to a
-			// serial scan.
-			acc.push(h.entry[i], h.ham[i])
-		}
-	}
-	return scanned
+	return e.scanEntryRange(clk, seg, qsk, maxHam, acc, opt)
 }
 
 // scanArenaRows is the filter scan's fast path over one segment's arena
-// rows [lo, hi) (segment-local): blocks of rows go through the fused select
+// rows: blocks of rows go through the fused select
 // kernel under the block-entry bound, then the (few) selected rows replay
 // the exact heap logic, so the result is identical to a row-by-row scan
 // while misses never leave the kernel. Valid only when every row belongs to
 // a live, unrestricted entry.
 //ferret:noalloc
-func (e *Engine) scanArenaRows(clk *queryClock, seg *segment, qsk sketch.Sketch, maxHam int, heap *segHeap, hits, dist []int32, lo, hi int) {
+func (e *Engine) scanArenaRows(clk *queryClock, seg *segment, qsk sketch.Sketch, maxHam int, heap *segHeap, hits, dist []int32) {
 	a := seg.arena
-	for base := lo; base < hi; base += batchRows {
+	rows := a.rows()
+	for base := 0; base < rows; base += batchRows {
 		if clk.stop() {
 			return
 		}
-		nb := hi - base
+		nb := rows - base
 		if nb > batchRows {
 			nb = batchRows
 		}
@@ -303,14 +255,14 @@ func (e *Engine) scanArenaRows(clk *queryClock, seg *segment, qsk sketch.Sketch,
 }
 
 // scanEntryRange is the tombstone/Restrict-aware path over one segment's
-// local entries [lo, hi), reading sketch rows from its arena. Returns the
-// number of objects scanned.
+// entries, reading sketch rows from its arena. Returns the number of
+// objects scanned.
 //ferret:noalloc
-func (e *Engine) scanEntryRange(clk *queryClock, seg *segment, qsk sketch.Sketch, maxHam int, heap *segHeap, opt QueryOptions, lo, hi int) int {
+func (e *Engine) scanEntryRange(clk *queryClock, seg *segment, qsk sketch.Sketch, maxHam int, heap *segHeap, opt QueryOptions) int {
 	a := seg.arena
 	scanned := 0
-	for li := lo; li < hi; li++ {
-		if (li-lo)%scanCheckStride == 0 && clk.stop() {
+	for li := 0; li < seg.n; li++ {
+		if li%scanCheckStride == 0 && clk.stop() {
 			break
 		}
 		g := seg.loEntry + li

@@ -98,12 +98,12 @@ func (t *topK) sorted() []Result {
 //
 // The lexicographic pair order is a strict total order, which makes the
 // final heap content the k smallest pairs regardless of push order. That
-// order-independence is what lets the Hamming-index probe path, the serial
-// arena scan, the sharded parallel scan and the batched shared scan all
-// return bit-identical candidate sets: they visit rows in different orders
-// but converge on the same k pairs (TestIndexScanEquivalence relies on
-// this; with ties broken by arrival order instead, eviction under equal
-// distances would depend on the visit schedule).
+// order-independence is what lets the Hamming-index probe path and the
+// arena scan, over one arena or many segments, return bit-identical
+// candidate sets: they visit rows in different orders but converge on the
+// same k pairs (TestIndexScanEquivalence relies on this; with ties broken
+// by arrival order instead, eviction under equal distances would depend on
+// the visit schedule).
 type segHeap struct {
 	k     int
 	entry []int // owning entry index per slot

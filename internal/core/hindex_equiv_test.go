@@ -141,10 +141,10 @@ func TestHIndexScanEquivalence(t *testing.T) {
 	}
 }
 
-// TestHIndexBatchSerialEquivalence checks the batched table descent agrees
-// with the serial probe: SearchBatch answers must match one-at-a-time
-// Search answers on the same indexed engine.
-func TestHIndexBatchSerialEquivalence(t *testing.T) {
+// TestFilterModeNotLeaked: a mode without a filter stage must not inherit
+// the pooled scratch's filter accounting from filtering queries served
+// before it on an indexed engine.
+func TestFilterModeNotLeaked(t *testing.T) {
 	const d = 10
 	cfg := testConfig(t.TempDir(), d)
 	cfg.HIndex = HIndexParams{Enable: true}
@@ -152,30 +152,15 @@ func TestHIndexBatchSerialEquivalence(t *testing.T) {
 	ingestClusters(t, e, 30, 6, d, 3)
 
 	rng := rand.New(rand.NewSource(72))
-	queries := make([]object.Object, 8)
-	for i := range queries {
-		queries[i] = clusterObject(fmt.Sprintf("bq%d", i), i%30, d, 3, 0.02, rng)
+	q := clusterObject("q", 0, d, 3, 0.02, rng)
+	ans, err := e.Search(context.Background(), q, QueryOptions{K: 10, Filter: FilterParams{NearestPerSegment: 8}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	opt := QueryOptions{K: 10, Filter: FilterParams{NearestPerSegment: 8}}
-
-	answers, errs := e.SearchBatch(context.Background(), queries, opt)
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("batch query %d: %v", i, err)
-		}
-		serial, err := e.searchOne(context.Background(), queries[i], opt)
-		if err != nil {
-			t.Fatalf("serial query %d: %v", i, err)
-		}
-		sameAnswers(t, fmt.Sprintf("q%d", i), answers[i].Results, serial.Results)
-		if answers[i].FilterMode == "" {
-			t.Fatalf("q%d: batch answer has no FilterMode", i)
-		}
+	if ans.FilterMode == "" {
+		t.Fatal("filtering answer has no FilterMode")
 	}
-
-	// A mode without a filter stage must not inherit the pooled scratch's
-	// accounting from the filtering queries above.
-	bf, err := e.searchOne(context.Background(), queries[0], QueryOptions{K: 5, Mode: BruteForceSketch})
+	bf, err := e.Search(context.Background(), q, QueryOptions{K: 5, Mode: BruteForceSketch})
 	if err != nil {
 		t.Fatalf("bruteforce query: %v", err)
 	}
@@ -187,8 +172,8 @@ func TestHIndexBatchSerialEquivalence(t *testing.T) {
 // TestHIndexMutationEquivalence is the randomized property test: a long
 // interleaving of Ingest, Delete, Compact and queries, applied identically
 // to an indexed and an unindexed engine, must never produce diverging
-// answers. Run with -race this also exercises the scheduler's probe path
-// under the engine lock protocol.
+// answers. Run with -race this also exercises the probe path under the
+// engine lock protocol.
 func TestHIndexMutationEquivalence(t *testing.T) {
 	const d = 8
 	cfgIdx := testConfig(t.TempDir(), d)

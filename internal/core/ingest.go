@@ -31,9 +31,6 @@ import (
 // off instead of timing out.
 var ErrOverloaded = errors.New("core: ingest queue full")
 
-// errQueueClosed reports an enqueue against a closing engine.
-var errQueueClosed = errors.New("core: ingest queue closed")
-
 // IngestParams configures the bounded ingest queue. The zero value disables
 // the queue: IngestQueued then commits synchronously, exactly like Ingest.
 type IngestParams struct {
@@ -105,7 +102,7 @@ func (q *ingestQueue) enqueue(ctx context.Context, req ingestReq) error {
 	if q.p.Shed {
 		select {
 		case <-q.closed:
-			return errQueueClosed
+			return ErrEngineClosed
 		case q.ch <- req:
 			q.e.met.queueDepth.Set(int64(len(q.ch)))
 			return nil
@@ -118,14 +115,14 @@ func (q *ingestQueue) enqueue(ctx context.Context, req ingestReq) error {
 	// blocking select below picks pseudo-randomly among ready cases.
 	select {
 	case <-q.closed:
-		return errQueueClosed
+		return ErrEngineClosed
 	case <-ctx.Done():
 		return ctx.Err()
 	default:
 	}
 	select {
 	case <-q.closed:
-		return errQueueClosed
+		return ErrEngineClosed
 	case <-ctx.Done():
 		return ctx.Err()
 	case q.ch <- req:
@@ -143,7 +140,7 @@ func (q *ingestQueue) close() {
 		for {
 			select {
 			case req := <-q.ch:
-				req.done <- ingestRes{err: errQueueClosed}
+				req.done <- ingestRes{err: ErrEngineClosed}
 			default:
 				return
 			}

@@ -6,7 +6,6 @@ import (
 
 	"ferret/internal/hindex"
 	"ferret/internal/sketch"
-	"ferret/internal/telemetry/trace"
 )
 
 // HIndexParams configures the optional multi-table Hamming index over the
@@ -131,170 +130,15 @@ func (e *Engine) probeSegment(clk *queryClock, seg *segment, qsk sketch.Sketch, 
 	return len(buf), true
 }
 
-// batchedProbeSegment serves one storage segment's index-eligible
-// (query, query-segment) pairs of a shared batch with one batched table
-// descent, the way sharedScanSegment batches the arena pass: every eligible
-// pair's buckets stream into one candidate union, which is verified once
-// per row with the multi-query Hamming kernel. It returns the pairs the
-// segment's shared scan must still serve (cost-model and coverage
-// fallbacks) with their sketches. Caller holds the read lock.
-//
-// Verification pushes go into per-pair temp heaps (bs.theaps), exactly as
-// in probeSegment: a successful pair's temp heap is merged into its
-// accumulator heap, a failed pair's is discarded, so fallbacks never
-// pollute the accumulator with a partial probe. Pushing union rows into a
-// pair's temp heap is sound even though the union mixes in other pairs'
-// bucket streams: any row within the pair's clamped bound rEff is
-// necessarily in that pair's own pigeonhole superset, so the extra rows can
-// only fail the bound check — the temp heap ends up exactly as a private
-// probe would leave it, and the (hamming, entry) pair order makes the row
-// visit order irrelevant.
-func (e *Engine) batchedProbeSegment(seg *segment, reqs []*batchReq, scs []*queryScratch, bs *batchScratch) ([]scanPair, []sketch.Sketch) {
-	ix := seg.hindex
-	rows := ix.Rows()
-	maxFrac := e.cfg.HIndex.MaxCandidateFrac
-	radius := ix.Radius()
-	ppairs := bs.ppairs[:0]
-	pqsks := bs.pqsks[:0]
-	spairs := bs.spairs[:0]
-	sqsks := bs.sqsks[:0]
-	probe := bs.probe[:0]
-	seen := resizeU64(&bs.seen, (seg.arena.rows()+63)/64)
-	defer func() {
-		bs.ppairs, bs.pqsks = ppairs, pqsks
-		bs.spairs, bs.sqsks = spairs, sqsks
-		bs.probe = probe
-	}()
-
-	probeStart := time.Now()
-	for pi := range bs.pairs {
-		p := bs.pairs[pi]
-		qsk := bs.qsks[pi]
-		rEff := radius
-		if p.maxHam < rEff {
-			rEff = p.maxHam
-		}
-		est := ix.EstimateCandidates(qsk)
-		if float64(est) > maxFrac*float64(rows) || (rEff < p.maxHam && est < p.heap.k) {
-			e.met.hixFallback.Inc()
-			spairs = append(spairs, p)
-			sqsks = append(sqsks, qsk)
-			continue
-		}
-		ppairs = append(ppairs, p)
-		pqsks = append(pqsks, qsk)
-		// The shared seen bitmap dedups the union across pairs as well as
-		// across tables: overlapping descents verify each row once.
-		probe = ix.AppendCandidates(probe, qsk, seen)
+// resizeU64 sizes a pooled dedup bitmap. The all-zero invariant is the
+// caller's: every bit set during a descent is cleared afterwards, and a
+// grow hands out a freshly zeroed slice.
+func resizeU64(s *[]uint64, n int) []uint64 {
+	if cap(*s) < n {
+		*s = make([]uint64, n)
 	}
-	for _, row := range probe {
-		seen[row>>6] &^= 1 << (uint(row) & 63)
-	}
-	if len(ppairs) == 0 {
-		return spairs, sqsks
-	}
-	slices.Sort(probe)
-
-	// Every probed request's trace records the one physical descent and the
-	// one verification pass with shared span IDs, mirroring the shared
-	// scan's cross-trace linking.
-	if cap(bs.probed) < len(reqs) {
-		bs.probed = make([]bool, len(reqs))
-	}
-	probed := bs.probed[:len(reqs)]
-	for i := range probed {
-		probed[i] = false
-	}
-	for pi := range ppairs {
-		probed[ppairs[pi].req] = true
-	}
-	probeDur := time.Since(probeStart)
-	probeID := trace.NewSpanID()
-	for i := range reqs {
-		if probed[i] {
-			scs[i].trp.RecordShared(StageHProbe, probeID, probeStart, probeDur).
-				SetAttr("pairs", int64(len(ppairs))).
-				SetAttr("candidates", int64(len(probe)))
-		}
-	}
-
-	verifyStart := time.Now()
-	bs.ms.Reset(pqsks)
-	a := seg.arena
-	rowd := resizeI32(&bs.rowd, len(ppairs))
-	bnds := resizeI32(&bs.bounds, len(ppairs))
-	for pi := range ppairs {
-		p := &ppairs[pi]
-		b := radius
-		if p.maxHam < b {
-			b = p.maxHam
-		}
-		bnds[pi] = int32(b)
-		bs.theap(pi, p.heap.k)
-	}
-	if cap(bs.stopped) < len(reqs) {
-		bs.stopped = make([]bool, len(reqs))
-	}
-	stopped := bs.stopped[:len(reqs)]
-	for ri, row := range probe {
-		if ri%scanCheckStride == 0 {
-			for i := range reqs {
-				stopped[i] = scs[i].clk.stop()
-			}
-			for pi := range ppairs {
-				if stopped[ppairs[pi].req] {
-					bnds[pi] = -1
-				}
-			}
-		}
-		sketch.HammingMultiAt(&bs.ms, a.words, int(row)*a.wps, rowd)
-		ent := seg.loEntry + int(a.entry[row])
-		for pi := range ppairs {
-			if h := rowd[pi]; h <= bnds[pi] {
-				th := bs.theaps[pi]
-				th.push(ent, int(h))
-				if w := th.worst(); w < int(bnds[pi]) {
-					bnds[pi] = int32(w)
-				}
-			}
-		}
-	}
-	verifyDur := time.Since(verifyStart)
-	verifyID := trace.NewSpanID()
-	for i := range reqs {
-		if probed[i] {
-			scs[i].trp.RecordShared(StageHVerify, verifyID, verifyStart, verifyDur).
-				SetAttr("verified", int64(len(probe)))
-		}
-	}
-
-	// Per-pair success check, as in probeSegment: full coverage of the
-	// pair's threshold, or a temp heap filled within the index radius.
-	// Successes merge their temp heap into the pair's accumulator; failures
-	// rejoin the segment's shared scan with the accumulator untouched.
-	for pi := range ppairs {
-		p := ppairs[pi]
-		rEff := radius
-		if p.maxHam < rEff {
-			rEff = p.maxHam
-		}
-		e.met.hixProbes.Inc()
-		e.met.hixCandidates.Add(len(probe))
-		e.met.hixBaseline.Add(rows)
-		th := bs.theaps[pi]
-		if rEff >= p.maxHam || th.full() {
-			for i := range th.entry {
-				p.heap.push(th.entry[i], th.ham[i])
-			}
-			scs[p.req].idxSegs++
-			scs[p.req].scannedN += len(probe)
-			continue
-		}
-		e.met.hixFallback.Inc()
-		spairs = append(spairs, p)
-		sqsks = append(sqsks, pqsks[pi])
-	}
-	return spairs, sqsks
+	*s = (*s)[:n]
+	return *s
 }
 
 // filterMode renders the scratch's per-segment accounting as the answer's

@@ -12,9 +12,8 @@ import (
 // tail segment while sealed immutable segments serve queries; a background
 // compactor merges runs of small sealed segments and rewrites
 // tombstone-heavy ones, swapping the merged segment in atomically under a
-// short critical section (see compactor.go). Every query path — the serial
-// filter, the Hamming-index probe, the shared batched scan and the ranking
-// unit — iterates storage segments and addresses entries by their global
+// short critical section (see compactor.go). Every query path — the
+// filter scan, the Hamming-index probe and the ranking unit — iterates storage segments and addresses entries by their global
 // index, so answers are bit-identical to a single-arena engine no matter
 // how the corpus happens to be segmented (TestSegmentedEquivalence).
 //

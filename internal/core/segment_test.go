@@ -99,30 +99,6 @@ func TestSegmentedEquivalence(t *testing.T) {
 				}
 			}
 
-			// The batched path must agree with both the segmented serial path
-			// and the flat engine.
-			queries := make([]object.Object, 6)
-			for i := range queries {
-				queries[i] = clusterObject(fmt.Sprintf("bq%d", i), i%5, d, 2, 0.02, rng)
-			}
-			opt := QueryOptions{K: 10, Filter: FilterParams{NearestPerSegment: 8}}
-			answers, errs := eseg.SearchBatch(context.Background(), queries, opt)
-			for i, err := range errs {
-				if err != nil {
-					t.Fatalf("batch query %d: %v", i, err)
-				}
-				serial, err := eseg.searchOne(context.Background(), queries[i], opt)
-				if err != nil {
-					t.Fatalf("serial query %d: %v", i, err)
-				}
-				sameAnswers(t, fmt.Sprintf("batch-vs-serial/q%d", i), answers[i].Results, serial.Results)
-				flat, err := eflat.Search(context.Background(), queries[i], opt)
-				if err != nil {
-					t.Fatalf("flat query %d: %v", i, err)
-				}
-				sameAnswers(t, fmt.Sprintf("batch-vs-flat/q%d", i), answers[i].Results, flat.Results)
-			}
-
 			// The stream must actually have exercised the pipeline: seals
 			// happened, merges happened, and the invariants held up.
 			reg := eseg.Telemetry()
@@ -238,7 +214,6 @@ func TestSegmentGeometry(t *testing.T) {
 func TestQueriesDuringCompact(t *testing.T) {
 	const d = 8
 	cfg := testConfig(t.TempDir(), d)
-	cfg.Parallelism = 2
 	e := openEngine(t, cfg)
 	objs := ingestVaried(t, e, 150, d)
 	for i := 0; i < len(objs); i += 4 {

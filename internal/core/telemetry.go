@@ -17,14 +17,10 @@ const (
 	StageExactFilter = "exact_filter"
 	StageRank        = "rank"
 
-	// Trace-only span names (no stage histogram of their own): queue wait
-	// is the scheduler histogram ferret_batch_queue_wait_seconds, and the
-	// shared arena scan is observed into the filter stage histogram. The
+	// Trace-only span names (no stage histogram of their own): the
 	// Hamming-index spans split an indexed filter stage into its bucket
 	// descent and its candidate verification, so /debug/traces shows
 	// probe-vs-verify time directly.
-	StageQueue   = "queue"
-	StageScan    = "scan"
 	StageHProbe  = "hindex_probe"
 	StageHVerify = "hindex_verify"
 
@@ -34,9 +30,9 @@ const (
 )
 
 // engineMetrics are the engine's handles into its telemetry registry. All
-// hot-path updates are atomic increments; scan loops accumulate into shard
-// locals and publish once per stage, so the parallel query paths in
-// parallel.go never contend on a shared cache line per object.
+// hot-path updates are atomic increments; scan loops accumulate into locals
+// and publish once per stage, so concurrent queries never contend on a
+// shared cache line per object.
 type engineMetrics struct {
 	reg *telemetry.Registry
 
@@ -78,12 +74,6 @@ type engineMetrics struct {
 	cacheEntries     *telemetry.Gauge   // ferret_result_cache_entries
 	cacheBytes       *telemetry.Gauge   // ferret_result_cache_bytes
 
-	// Batch-scheduler counters and histograms (see scheduler.go).
-	batches   *telemetry.Counter   // ferret_batches_total
-	coalesced *telemetry.Counter   // ferret_queries_coalesced_total
-	batchSize *telemetry.Histogram // ferret_batch_size
-	queueWait *telemetry.Histogram // ferret_batch_queue_wait_seconds
-
 	// State gauges — maintained incrementally under e.mu so Stat() never
 	// has to walk the sketch database.
 	objects         *telemetry.Gauge // ferret_objects
@@ -95,8 +85,6 @@ type engineMetrics struct {
 	storageSegs     *telemetry.Gauge // ferret_storage_segments
 	queueDepth      *telemetry.Gauge // ferret_ingest_queue_depth
 	inflight        *telemetry.Gauge // ferret_inflight_queries
-	poolWorkers     *telemetry.Gauge // ferret_pool_workers
-	poolBusy        *telemetry.Gauge // ferret_pool_busy_workers
 
 	// Latency histograms.
 	queryTime   *telemetry.Histogram // ferret_query_seconds
@@ -112,8 +100,8 @@ func newEngineMetrics(reg *telemetry.Registry) *engineMetrics {
 		reg = telemetry.NewRegistry()
 	}
 	telemetry.RegisterBuildInfo(reg)
-	// Queue waits and pipeline stages sit well under a millisecond on the
-	// batched path, so every latency histogram here uses the fine grid.
+	// Pipeline stages sit well under a millisecond on small corpora and with
+	// the index, so every latency histogram here uses the fine grid.
 	stageHist := func(stage string) *telemetry.Histogram {
 		return reg.Histogram("ferret_query_stage_seconds",
 			"Per-stage query pipeline latency in seconds.", telemetry.FineTimeBuckets, "stage", stage)
@@ -163,14 +151,6 @@ func newEngineMetrics(reg *telemetry.Registry) *engineMetrics {
 		cacheEntries: reg.Gauge("ferret_result_cache_entries", "Result-cache entries resident."),
 		cacheBytes:   reg.Gauge("ferret_result_cache_bytes", "Approximate result-cache resident bytes."),
 
-		batches: reg.Counter("ferret_batches_total", "Shared-scan query batches executed."),
-		coalesced: reg.Counter("ferret_queries_coalesced_total",
-			"Queries answered by a shared arena scan with at least one other query."),
-		batchSize: reg.Histogram("ferret_batch_size", "Queries per shared-scan batch.",
-			[]float64{1, 2, 4, 8, 16, 32}),
-		queueWait: reg.Histogram("ferret_batch_queue_wait_seconds",
-			"Time a query waited in the scheduler's coalescing queue.", telemetry.FineTimeBuckets),
-
 		objects:         reg.Gauge("ferret_objects", "Live (non-deleted) objects."),
 		deleted:         reg.Gauge("ferret_deleted_objects", "Tombstoned objects awaiting compaction."),
 		segments:        reg.Gauge("ferret_segments", "Live segment sketches."),
@@ -181,8 +161,6 @@ func newEngineMetrics(reg *telemetry.Registry) *engineMetrics {
 		storageSegs: reg.Gauge("ferret_storage_segments", "Storage segments (sealed + mutable tail)."),
 		queueDepth:  reg.Gauge("ferret_ingest_queue_depth", "Objects waiting in the bounded ingest queue."),
 		inflight:    reg.Gauge("ferret_inflight_queries", "Queries currently executing."),
-		poolWorkers: reg.Gauge("ferret_pool_workers", "Persistent scan/rank pool size."),
-		poolBusy:    reg.Gauge("ferret_pool_busy_workers", "Pool workers currently running a task."),
 
 		queryTime:   reg.Histogram("ferret_query_seconds", "End-to-end query latency in seconds.", telemetry.FineTimeBuckets),
 		ingestTime:  reg.Histogram("ferret_ingest_seconds", "Ingest latency in seconds.", nil),

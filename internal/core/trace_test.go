@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"ferret/internal/object"
 	"ferret/internal/telemetry/trace"
 )
 
@@ -37,96 +36,32 @@ func findTrace(t *testing.T, e *Engine, ti *TraceInfo) *trace.Trace {
 	return tr
 }
 
-// TestBatchTraceSharedScanSpan: every query of one coalesced batch must
-// retain a trace whose scan span references the same shared span ID — the
-// cross-trace proof that the batch rode one physical arena scan — and the
-// queue and rank stages must be present per query.
-func TestBatchTraceSharedScanSpan(t *testing.T) {
-	const d, nseg = 8, 3
-	e := openEngine(t, traceTestConfig(t.TempDir(), d))
-	ingestClusters(t, e, 6, 5, d, nseg)
-
-	rng := rand.New(rand.NewSource(21))
-	queries := make([]object.Object, 5)
-	for i := range queries {
-		queries[i] = clusterObject(fmt.Sprintf("q%d", i), i%6, d, nseg, 0.02, rng)
-	}
-	answers, errs := e.SearchBatch(context.Background(), queries, QueryOptions{K: 4, ForceTrace: true})
-
-	var sharedRef trace.SpanID
-	seen := map[string]bool{}
-	for i := range answers {
-		if errs[i] != nil {
-			t.Fatalf("query %d: %v", i, errs[i])
-		}
-		ti := answers[i].Trace
-		tr := findTrace(t, e, ti)
-		if seen[ti.ID] {
-			t.Fatalf("query %d: trace ID %s reused across queries", i, ti.ID)
-		}
-		seen[ti.ID] = true
-
-		sp, ok := tr.Span(StageScan)
-		if !ok {
-			t.Fatalf("query %d: no scan span in %s", i, tr.Compact())
-		}
-		if sp.Ref == 0 {
-			t.Fatalf("query %d: scan span has no shared ref: %s", i, tr.Compact())
-		}
-		if sharedRef == 0 {
-			sharedRef = sp.Ref
-		} else if sp.Ref != sharedRef {
-			t.Fatalf("query %d: scan ref %s, batch siblings have %s", i, sp.Ref, sharedRef)
-		}
-		for _, name := range []string{StageSketch, StageQueue, StageRank} {
-			if _, ok := tr.Span(name); !ok {
-				t.Fatalf("query %d: no %s span in %s", i, name, tr.Compact())
-			}
-		}
-		// The wire-facing stage aggregation must cover the pipeline too.
-		stages := map[string]bool{}
-		for _, st := range ti.Stages {
-			stages[st.Name] = true
-		}
-		for _, name := range []string{StageQueue, StageScan, StageRank, "total"} {
-			if !stages[name] {
-				t.Fatalf("query %d: stage breakdown %v missing %s", i, ti.Stages, name)
-			}
-		}
-	}
-}
-
 // TestDegradedQueryInSlowLog: a budget-degraded query must always appear in
 // the slow-query log — with sampling and the duration trigger both disabled,
-// only the degraded marking can have put it there — carrying the queue,
-// shared-scan, and rank spans that explain where its time went.
+// only the degraded marking can have put it there — carrying the sketch,
+// filter, and rank spans that explain where its time went.
 func TestDegradedQueryInSlowLog(t *testing.T) {
 	const d, nseg = 8, 3
 	e := openEngine(t, traceTestConfig(t.TempDir(), d))
 	ingestClusters(t, e, 6, 5, d, nseg)
 
 	rng := rand.New(rand.NewSource(31))
-	queries := make([]object.Object, 4)
-	for i := range queries {
-		queries[i] = clusterObject(fmt.Sprintf("q%d", i), i, d, nseg, 0.02, rng)
-	}
-	answers, errs := e.SearchBatch(context.Background(), queries,
-		QueryOptions{K: 5, Budget: time.Nanosecond, ForceTrace: true})
-
-	slow := e.tracer.Slow()
-	for i := range answers {
-		if errs[i] != nil {
-			t.Fatalf("query %d: %v", i, errs[i])
+	for i := 0; i < 4; i++ {
+		q := clusterObject(fmt.Sprintf("q%d", i), i, d, nseg, 0.02, rng)
+		ans, err := e.Search(context.Background(), q,
+			QueryOptions{K: 5, Budget: time.Nanosecond, ForceTrace: true})
+		if err != nil {
+			t.Fatalf("query %d: %v", i, err)
 		}
-		if !answers[i].Degraded {
+		if !ans.Degraded {
 			t.Fatalf("query %d: not degraded under 1ns budget", i)
 		}
-		ti := answers[i].Trace
+		ti := ans.Trace
 		if ti == nil {
 			t.Fatalf("query %d: no trace info", i)
 		}
 		var tr *trace.Trace
-		for _, s := range slow {
+		for _, s := range e.tracer.Slow() {
 			if s.ID.String() == ti.ID {
 				tr = s
 				break
@@ -138,7 +73,7 @@ func TestDegradedQueryInSlowLog(t *testing.T) {
 		if !tr.Slow {
 			t.Fatalf("query %d: retained trace not marked slow: %s", i, tr.Compact())
 		}
-		for _, name := range []string{StageQueue, StageScan, StageRank} {
+		for _, name := range []string{StageSketch, StageFilter, StageRank} {
 			if _, ok := tr.Span(name); !ok {
 				t.Fatalf("query %d: slow trace lacks %s span: %s", i, name, tr.Compact())
 			}
@@ -155,9 +90,9 @@ func TestDegradedQueryInSlowLog(t *testing.T) {
 	}
 }
 
-// TestSerialSearchTraced: the unbatched pipeline (no scheduler) must produce
-// a complete forced trace too — sketch, filter, and rank spans plus the
-// aggregated breakdown on the answer.
+// TestSerialSearchTraced: the query pipeline must produce a complete forced
+// trace — sketch, filter, and rank spans plus the aggregated breakdown on
+// the answer.
 func TestSerialSearchTraced(t *testing.T) {
 	const d, nseg = 8, 3
 	e := openEngine(t, traceTestConfig(t.TempDir(), d))

@@ -15,43 +15,32 @@ import (
 
 // ThroughputRow is one arm of the closed-loop serving benchmark: a fixed
 // number of clients, each issuing its next query the moment the previous
-// answer returns, against an engine with the shared-scan scheduler either
-// disabled (one-query-at-a-time, the pre-scheduler serving model) or
-// enabled. QPS is wall-clock throughput over the whole run; the latency
-// percentiles are per-query as a client sees them (including any time spent
-// queued in the coalescing window).
+// answer returns, against an engine that filters by arena scan (the default
+// configuration) or through the multi-table Hamming index. QPS is
+// wall-clock throughput over the whole run; the latency percentiles are
+// per-query as a client sees them.
 type ThroughputRow struct {
 	Concurrency     int            `json:"concurrency"`
-	Batched         bool           `json:"batched"`
+	Arm             string         `json:"arm"` // "scan" or "hindex"
 	Queries         int            `json:"queries"`
 	WallSec         float64        `json:"wall_sec"`
 	QPS             float64        `json:"qps"`
 	Latency         LatencySummary `json:"latency"`
-	Batches         int64          `json:"batches"`
-	Coalesced       int64          `json:"coalesced"`
-	MeanBatchSize   float64        `json:"mean_batch_size,omitempty"`
 	SpeedupVsSerial float64        `json:"speedup_vs_serial,omitempty"`
 }
 
-// ThroughputOptions narrows the sweep from ferret-bench's -concurrency and
-// -batch flags; the zero value runs the full grid (both arms, clients
-// doubling 1..8).
+// ThroughputOptions narrows the sweep from ferret-bench's -concurrency
+// flag; the zero value runs the full grid (both arms, clients doubling
+// 1..8).
 type ThroughputOptions struct {
 	Concurrencies []int // nil = {1, 2, 4, 8}
-	BatchedOnly   bool  // skip the unbatched baseline arm
 }
-
-// Scheduler shape for the batched arm: a short coalescing window and a
-// batch cap equal to the largest client count in the sweep, so a full
-// 8-client burst dispatches the moment the last straggler arrives instead
-// of waiting out the window (a lone client still pays the full window —
-// visible in the concurrency-1 row).
-var throughputSched = core.SchedulerParams{Window: 200 * time.Microsecond, MaxBatch: 8}
 
 // Throughput measures serving throughput on the mixed-shape speed corpus
 // (the heaviest speed dataset: 800-bit sketches). The corpus is ingested
-// once; the batched arm reopens the same store with the scheduler enabled,
-// so both arms search identical data.
+// once; the hindex arm reopens the same store with the Hamming index
+// enabled, so both arms search identical data. Queries use the engine's
+// default filter settings, as the serving experiment's protocol queries do.
 func Throughput(scale Scale, opts ThroughputOptions) ([]ThroughputRow, error) {
 	dt := mixedShapeType()
 	objs := synth.MixedShapeObjects(scale.MixedShapeN, 301)
@@ -63,12 +52,12 @@ func Throughput(scale Scale, opts ThroughputOptions) ([]ThroughputRow, error) {
 		return nil, err
 	}
 	defer os.RemoveAll(dir)
-	open := func(sched core.SchedulerParams) (*core.Engine, error) {
+	open := func(indexed bool) (*core.Engine, error) {
 		return core.Open(core.Config{
 			Dir:           dir,
 			Sketch:        dt.sketchCfg(dt.sketchBits),
 			RankThreshold: dt.rankThresh,
-			Scheduler:     sched,
+			HIndex:        core.HIndexParams{Enable: indexed},
 			Store:         kvstore.Options{Sync: kvstore.SyncPeriodic, SyncInterval: time.Minute},
 		})
 	}
@@ -77,19 +66,11 @@ func Throughput(scale Scale, opts ThroughputOptions) ([]ThroughputRow, error) {
 	if len(concs) == 0 {
 		concs = []int{1, 2, 4, 8}
 	}
-	arms := []bool{false, true}
-	if opts.BatchedOnly {
-		arms = []bool{true}
-	}
 
 	var rows []ThroughputRow
 	ingested := false
-	for _, batched := range arms {
-		sched := core.SchedulerParams{}
-		if batched {
-			sched = throughputSched
-		}
-		e, err := open(sched)
+	for _, indexed := range []bool{false, true} {
+		e, err := open(indexed)
 		if err != nil {
 			return nil, err
 		}
@@ -102,12 +83,17 @@ func Throughput(scale Scale, opts ThroughputOptions) ([]ThroughputRow, error) {
 			}
 			ingested = true
 		}
+		arm := "scan"
+		if indexed {
+			arm = "hindex"
+		}
 		for _, c := range concs {
-			row, err := measureClosedLoop(e, queries, c, perClient, 20, batched)
+			row, err := measureClosedLoop(e, queries, c, perClient, 20)
 			if err != nil {
 				e.Close()
 				return nil, err
 			}
+			row.Arm = arm
 			rows = append(rows, row)
 		}
 		if err := e.Close(); err != nil {
@@ -115,10 +101,11 @@ func Throughput(scale Scale, opts ThroughputOptions) ([]ThroughputRow, error) {
 		}
 	}
 
-	// Speedup relative to the serial baseline: the unbatched single-client
-	// arm (with -batch there is no baseline and the column stays zero).
+	// Speedup relative to the serial baseline: the scan arm's single-client
+	// row (with -concurrency above 1 there is no baseline and the column
+	// stays zero).
 	for _, r := range rows {
-		if !r.Batched && r.Concurrency == 1 && r.QPS > 0 {
+		if r.Arm == "scan" && r.Concurrency == 1 && r.QPS > 0 {
 			for i := range rows {
 				rows[i].SpeedupVsSerial = rows[i].QPS / r.QPS
 			}
@@ -130,11 +117,7 @@ func Throughput(scale Scale, opts ThroughputOptions) ([]ThroughputRow, error) {
 
 // measureClosedLoop runs `clients` goroutines, each issuing `perClient`
 // Filtering-mode queries back to back, and condenses the run into one row.
-func measureClosedLoop(e *core.Engine, queries []object.Object, clients, perClient, k int, batched bool) (ThroughputRow, error) {
-	reg := e.Telemetry()
-	batches0 := reg.Value("ferret_batches_total")
-	coalesced0 := reg.Value("ferret_queries_coalesced_total")
-
+func measureClosedLoop(e *core.Engine, queries []object.Object, clients, perClient, k int) (ThroughputRow, error) {
 	lats := make([][]float64, clients)
 	errs := make([]error, clients)
 	var wg sync.WaitGroup
@@ -144,7 +127,7 @@ func measureClosedLoop(e *core.Engine, queries []object.Object, clients, perClie
 		go func(c int) {
 			defer wg.Done()
 			secs := make([]float64, 0, perClient)
-			opt := core.QueryOptions{Mode: core.Filtering, K: k, Filter: speedFilter}
+			opt := core.QueryOptions{Mode: core.Filtering, K: k}
 			for i := 0; i < perClient; i++ {
 				q := queries[(c*perClient+i)%len(queries)]
 				t0 := time.Now()
@@ -170,12 +153,9 @@ func measureClosedLoop(e *core.Engine, queries []object.Object, clients, perClie
 	}
 	row := ThroughputRow{
 		Concurrency: clients,
-		Batched:     batched,
 		Queries:     len(all),
 		WallSec:     wall,
 		Latency:     summarizeLatencies(all),
-		Batches:     int64(reg.Value("ferret_batches_total") - batches0),
-		Coalesced:   int64(reg.Value("ferret_queries_coalesced_total") - coalesced0),
 	}
 	if wall > 0 {
 		row.QPS = float64(len(all)) / wall
@@ -184,20 +164,17 @@ func measureClosedLoop(e *core.Engine, queries []object.Object, clients, perClie
 	// double-counts overlapped time under concurrency; the closed-loop
 	// wall-clock rate is the one that means "served queries per second".
 	row.Latency.QPS = row.QPS
-	if row.Batches > 0 {
-		row.MeanBatchSize = float64(row.Queries) / float64(row.Batches)
-	}
 	return row, nil
 }
 
 // FprintThroughput renders the sweep as a table.
 func FprintThroughput(w io.Writer, rows []ThroughputRow) {
-	fmt.Fprintf(w, "%8s %8s %8s %10s %10s %10s %10s %9s %9s\n",
-		"Clients", "Batched", "Queries", "QPS", "p50(ms)", "p90(ms)", "p99(ms)", "AvgBatch", "Speedup")
+	fmt.Fprintf(w, "%8s %8s %8s %10s %10s %10s %10s %9s\n",
+		"Clients", "Arm", "Queries", "QPS", "p50(ms)", "p90(ms)", "p99(ms)", "Speedup")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%8d %8v %8d %10.1f %10.2f %10.2f %10.2f %9.2f %8.2fx\n",
-			r.Concurrency, r.Batched, r.Queries, r.QPS,
+		fmt.Fprintf(w, "%8d %8s %8d %10.1f %10.2f %10.2f %10.2f %8.2fx\n",
+			r.Concurrency, r.Arm, r.Queries, r.QPS,
 			r.Latency.P50Sec*1e3, r.Latency.P90Sec*1e3, r.Latency.P99Sec*1e3,
-			r.MeanBatchSize, r.SpeedupVsSerial)
+			r.SpeedupVsSerial)
 	}
 }

@@ -335,8 +335,8 @@ func (c *Client) binQuery(key string, p QueryParams) (results []Result, meta Res
 }
 
 // BatchQuery runs similarity queries for several already-ingested objects as
-// one request: the server coalesces them into shared arena scans. The
-// returned slice is parallel to keys; per-query failures are reported in
+// one request: the server answers each key as QUERY would. The returned
+// slice is parallel to keys; per-query failures are reported in
 // BatchItem.Err without failing their siblings.
 func (c *Client) BatchQuery(keys []string, p QueryParams) ([]BatchItem, error) {
 	if items, ok, err := c.binBatchQuery(keys, p); ok {

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"ferret/internal/core"
 	"ferret/internal/protocol"
 )
 
@@ -60,5 +61,63 @@ func TestBatchQueryBadArgs(t *testing.T) {
 	}
 	if _, err := client.BatchQuery(keys, protocol.QueryParams{}); err == nil {
 		t.Fatal("oversized batch accepted")
+	}
+}
+
+// TestBatchQueryMatchesPerKeyQuery: on a sketch-only store and on a store
+// with the result cache on, every BATCHQUERY group must equal the answer
+// QUERY gives for its key — results and filter mode — and an unknown key
+// must fail only its own group. The cached store is batched twice: the
+// second batch must be served from the cache the first one and QUERY
+// filled, as repeated QUERYs are.
+func TestBatchQueryMatchesPerKeyQuery(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		cfg     func(*core.Config)
+		batches int
+	}{
+		{"sketch-only", func(c *core.Config) { c.SketchOnly = true }, 1},
+		{"result-cache", func(c *core.Config) { c.ResultCache = core.ResultCacheParams{Enable: true} }, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			client, _ := startServerWith(t, nil, tc.cfg)
+			keys := []string{"c0/m0", "c1/m2", "no-such-key", "c2/m1", "c0/m0"}
+			params := protocol.QueryParams{K: 3}
+			for b := 0; b < tc.batches; b++ {
+				items, err := client.BatchQuery(keys, params)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, key := range keys {
+					want, meta, err := client.QueryMeta(key, params)
+					if key == "no-such-key" {
+						if err == nil || !strings.Contains(items[i].Err, "unknown object key") {
+							t.Fatalf("batch %d group %d: err %q, QUERY err %v", b, i, items[i].Err, err)
+						}
+						continue
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					if items[i].Err != "" {
+						t.Fatalf("batch %d group %d: unexpected error %q", b, i, items[i].Err)
+					}
+					if items[i].Meta.Mode != meta.Mode || items[i].Meta.Degraded != meta.Degraded {
+						t.Fatalf("batch %d group %d: meta %+v, QUERY meta %+v", b, i, items[i].Meta, meta)
+					}
+					if b > 0 && items[i].Meta.Cache != core.CacheHit {
+						t.Fatalf("batch %d group %d: cache %q, want a hit", b, i, items[i].Meta.Cache)
+					}
+					if len(items[i].Results) != len(want) {
+						t.Fatalf("batch %d group %d: %d vs %d results", b, i, len(items[i].Results), len(want))
+					}
+					for r := range want {
+						if items[i].Results[r] != want[r] {
+							t.Fatalf("batch %d group %d rank %d: batch %v QUERY %v", b, i, r, items[i].Results[r], want[r])
+						}
+					}
+				}
+			}
+		})
 	}
 }

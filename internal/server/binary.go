@@ -335,9 +335,9 @@ func appendItem(b []byte, it *protocol.BatchItem) []byte {
 	return b
 }
 
-// binBatch handles OpBatchQuery through the same engine batching as the
-// text BATCHQUERY (shared arena scans), encoding each group's results
-// directly into the response frame.
+// binBatch handles OpBatchQuery through the same per-key runBatch as the
+// text BATCHQUERY, encoding each group's results directly into the
+// response frame.
 func (s *Server) binBatch(ctx context.Context, w io.Writer, payload []byte) error {
 	r := protocol.NewBinReader(payload)
 	n := r.U16()

@@ -805,10 +805,9 @@ func (s *Server) tracePairs(n int, slowOnly bool, id string) (map[string]string,
 const maxBatchKeys = 256
 
 // dispatchBatch handles BATCHQUERY: n indexed keys (key0..key{n-1}) sharing
-// one set of query parameters, answered through the engine's batched search
-// so concurrent keys share arena scans. Per-key failures (unknown key,
-// missing feature vectors) are reported inside their group without failing
-// the rest of the batch.
+// one set of query parameters, each answered exactly as QUERY would answer
+// it. Per-key failures (unknown key, missing feature vectors) are reported
+// inside their group without failing the rest of the batch.
 func (s *Server) dispatchBatch(ctx context.Context, w io.Writer, req protocol.Request) error {
 	n, err := strconv.Atoi(req.Args["n"])
 	if err != nil || n <= 0 || n > maxBatchKeys {
@@ -820,8 +819,6 @@ func (s *Server) dispatchBatch(ctx context.Context, w io.Writer, req protocol.Re
 	}
 	// Tracing a batch: each query gets its own engine-armed, force-retained
 	// trace, and its group's flags carry the trace ID and stage breakdown.
-	// All coalesced groups' scan spans share one Ref span ID — the shared
-	// arena scan they rode.
 	if req.Args["trace"] != "" {
 		if s.Engine.Tracer() == nil {
 			return s.writeErr(w, errors.New("tracing disabled on this server"))
@@ -839,42 +836,23 @@ func (s *Server) dispatchBatch(ctx context.Context, w io.Writer, req protocol.Re
 	return protocol.WriteBatch(w, s.runBatch(ctx, keys, opt))
 }
 
-// runBatch answers one batch of keys through the engine's batched search
-// (shared by the text and binary dispatchers). Per-key failures are
-// reported inside their group without failing the rest.
+// runBatch answers one batch of keys, one SearchByID per key (shared by
+// the text and binary dispatchers). Per-key failures are reported inside
+// their group without failing the rest.
 func (s *Server) runBatch(ctx context.Context, keys []string, opt core.QueryOptions) []protocol.BatchItem {
-	n := len(keys)
-	items := make([]protocol.BatchItem, n)
-	queries := make([]object.Object, 0, n)
-	slots := make([]int, 0, n) // queries[j] answers items[slots[j]]
+	items := make([]protocol.BatchItem, len(keys))
 	for i, key := range keys {
 		id, ok := s.Engine.Meta().LookupKey(key)
 		if !ok {
 			items[i].Err = fmt.Sprintf("unknown object key %q", key)
 			continue
 		}
-		o, ok := s.Engine.Meta().GetObject(id)
-		if !ok {
-			// Sketch-only store: no feature vectors to batch on. Answer this
-			// key through the per-query sketch path instead.
-			ans, err := s.Engine.SearchByID(ctx, id, opt)
-			if err != nil {
-				items[i].Err = err.Error()
-				continue
-			}
-			items[i] = answerItem(ans)
+		ans, err := s.Engine.SearchByID(ctx, id, opt)
+		if err != nil {
+			items[i].Err = err.Error()
 			continue
 		}
-		queries = append(queries, o)
-		slots = append(slots, i)
-	}
-	answers, errs := s.Engine.SearchBatch(ctx, queries, opt)
-	for j, slot := range slots {
-		if errs[j] != nil {
-			items[slot].Err = errs[j].Error()
-			continue
-		}
-		items[slot] = answerItem(answers[j])
+		items[i] = answerItem(ans)
 	}
 	return items
 }

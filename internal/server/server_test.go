@@ -19,16 +19,27 @@ import (
 // on a loopback listener.
 func startServer(t *testing.T, extract ExtractFunc) (*protocol.Client, *core.Engine) {
 	t.Helper()
+	return startServerWith(t, extract, nil)
+}
+
+// startServerWith is startServer with configure applied to the engine
+// config before Open (nil = defaults).
+func startServerWith(t *testing.T, extract ExtractFunc, configure func(*core.Config)) (*protocol.Client, *core.Engine) {
+	t.Helper()
 	const d = 6
 	min := make([]float32, d)
 	max := make([]float32, d)
 	for i := range max {
 		max[i] = 1
 	}
-	engine, err := core.Open(core.Config{
+	cfg := core.Config{
 		Dir:    t.TempDir(),
 		Sketch: sketch.Params{N: 128, K: 1, Min: min, Max: max, Seed: 9},
-	})
+	}
+	if configure != nil {
+		configure(&cfg)
+	}
+	engine, err := core.Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,19 +2,19 @@
 // pipeline traces with sampling retention and an always-on slow-query log.
 //
 // Aggregate metrics (package telemetry) answer "how slow are queries?";
-// traces answer "why was *this* query slow?" — since the shared-scan
-// scheduler landed, a query's latency is a function of which coalesced
-// batch it joined and how long it waited in the queue, which no histogram
-// can attribute. A trace is a bounded set of spans (name, start offset,
-// duration, parent, integer attrs) recorded while one query runs.
+// traces answer "why was *this* query slow?" — which stage (sketch, filter
+// scan or index probe, rank) took the time, and what it did (candidates,
+// EMD evaluations, pruned rows), which no histogram can attribute. A trace
+// is a bounded set of spans (name, start offset, duration, parent, integer
+// attrs) recorded while one query runs.
 //
 // The design splits *recording* from *retention* so tracing can stay
 // always-on without perturbing the measured system:
 //
 //   - Recording is allocation-free. An Active is a fixed-capacity span
 //     buffer that callers embed by value inside state they already
-//     allocate or pool per query (the scheduler's batchReq, the engine's
-//     pooled queryScratch, the server's per-connection state). Starting a
+//     allocate or pool per query (the engine's pooled queryScratch, the
+//     server's per-connection state). Starting a
 //     span, setting an attr and ending it are a mutex-guarded array write
 //     each — no heap allocation, verified by TestFilterPathAllocs and
 //     BenchmarkQueryPipelineTraced.
@@ -27,10 +27,6 @@
 // Completed traces land in lock-free fixed-size rings (recent + slow),
 // exposed over the TRACE protocol command and the /debug/traces JSON
 // endpoint (see Handler).
-//
-// Spans in different traces can be correlated: the scheduler records the
-// shared arena scan once per coalesced query with the same Ref span ID, so
-// all Q traces of one batch provably point at the same physical scan.
 package trace
 
 import (
@@ -88,13 +84,8 @@ func nextID() uint64 {
 // NewTraceID allocates a fresh trace ID.
 func NewTraceID() TraceID { return TraceID(nextID()) }
 
-// NewSpanID allocates a fresh span ID — used by the scheduler to mint the
-// shared scan span's identity once per batch and link it from every
-// coalesced query's trace (SpanData.Ref).
-func NewSpanID() SpanID { return SpanID(nextID()) }
-
-// Capacity limits. MaxSpans bounds one trace's recording buffer (a large
-// explicit batch overflows it; overflow is counted, never reallocated) and
+// Capacity limits. MaxSpans bounds one trace's recording buffer (overflow
+// is counted, never reallocated) and
 // maxAttrs bounds per-span attributes.
 const (
 	MaxSpans = 24
@@ -102,7 +93,7 @@ const (
 )
 
 // Attr is one integer span attribute (EMD evaluations, pruned candidates,
-// batch size, ...). Integer-only keeps recording allocation-free.
+// scanned rows, ...). Integer-only keeps recording allocation-free.
 type Attr struct {
 	Key string `json:"k"`
 	Val int64  `json:"v"`
@@ -245,7 +236,6 @@ func (r *ring) snapshot() []*Trace {
 type spanRec struct {
 	id     SpanID
 	parent SpanID
-	ref    SpanID
 	name   string
 	start  time.Duration // offset from trace start
 	dur    time.Duration
@@ -261,8 +251,8 @@ type spanRec struct {
 // methods are also safe on a nil receiver, so "no trace" needs no branches
 // at call sites. An Active may be re-armed after Finish (pooled reuse).
 //
-// Recording is mutex-guarded: the scheduler's leader, pool workers and the
-// serving goroutine may record into one query's Active concurrently.
+// Recording is mutex-guarded, so goroutines that share one query's Active
+// (the engine and the serving goroutine) may record into it concurrently.
 type Active struct {
 	mu      sync.Mutex
 	t       *Tracer
@@ -413,19 +403,6 @@ func (a *Active) StartSpan(name string) Span {
 // common form for stages that are timed anyway for histograms.
 //ferret:noalloc
 func (a *Active) Record(name string, start time.Time, d time.Duration) Span {
-	return a.record(name, 0, start, d)
-}
-
-// RecordShared is Record carrying a Ref span ID: the span stands for work
-// physically shared with other traces (the coalesced arena scan), and every
-// participating trace records it with the same ref, linking them.
-//ferret:noalloc
-func (a *Active) RecordShared(name string, ref SpanID, start time.Time, d time.Duration) Span {
-	return a.record(name, ref, start, d)
-}
-
-//ferret:noalloc
-func (a *Active) record(name string, ref SpanID, start time.Time, d time.Duration) Span {
 	if a == nil {
 		return Span{}
 	}
@@ -442,7 +419,6 @@ func (a *Active) record(name string, ref SpanID, start time.Time, d time.Duratio
 	a.spans[i] = spanRec{
 		id:     SpanID(nextID()),
 		parent: a.spans[0].id,
-		ref:    ref,
 		name:   name,
 		start:  off,
 		dur:    d,
@@ -592,7 +568,6 @@ func (a *Active) Finish() *Trace {
 		sd := SpanData{
 			ID:     sp.id,
 			Parent: sp.parent,
-			Ref:    sp.ref,
 			Name:   sp.name,
 			Start:  sp.start,
 			Dur:    sp.dur,
@@ -632,7 +607,6 @@ type Trace struct {
 type SpanData struct {
 	ID     SpanID        `json:"id"`
 	Parent SpanID        `json:"parent,omitempty"`
-	Ref    SpanID        `json:"ref,omitempty"`
 	Name   string        `json:"name"`
 	Start  time.Duration `json:"start_ns"`
 	Dur    time.Duration `json:"duration_ns"`
@@ -651,7 +625,7 @@ func (tr *Trace) Span(name string) (SpanData, bool) {
 
 // Compact renders the trace as one protocol-friendly line:
 //
-//	<id> <root> <dur> [slow] [forced] | <span> <dur> [ref=<id>] [k=v ...] | ...
+//	<id> <root> <dur> [slow] [forced] | <span> <dur> [k=v ...] | ...
 func (tr *Trace) Compact() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%s %s %s", tr.ID, tr.Root, tr.Dur.Round(time.Microsecond))
@@ -663,9 +637,6 @@ func (tr *Trace) Compact() string {
 	}
 	for _, sp := range tr.Spans[1:] {
 		fmt.Fprintf(&sb, " | %s %s", sp.Name, sp.Dur.Round(time.Microsecond))
-		if sp.Ref != 0 {
-			fmt.Fprintf(&sb, " ref=%s", sp.Ref)
-		}
 		for _, at := range sp.Attrs {
 			fmt.Fprintf(&sb, " %s=%d", at.Key, at.Val)
 		}

@@ -158,34 +158,6 @@ func TestSlowThresholdAndMarkSlow(t *testing.T) {
 	}
 }
 
-func TestSharedRefLinksTraces(t *testing.T) {
-	tr := New(Params{SampleEvery: 1}, nil)
-	scan := NewSpanID()
-	var as [3]Active
-	st := time.Now()
-	for i := range as {
-		tr.Begin(&as[i], "q")
-		as[i].RecordShared("scan", scan, st, time.Millisecond)
-	}
-	var refs []SpanID
-	for i := range as {
-		got := as[i].Finish()
-		if got == nil {
-			t.Fatal("trace dropped with SampleEvery=1")
-		}
-		sp, ok := got.Span("scan")
-		if !ok {
-			t.Fatal("scan span missing")
-		}
-		refs = append(refs, sp.Ref)
-	}
-	for _, r := range refs {
-		if r != scan {
-			t.Fatalf("refs %v not all equal to %v", refs, scan)
-		}
-	}
-}
-
 func TestSpanOverflowCounted(t *testing.T) {
 	tr := New(Params{SampleEvery: 1}, nil)
 	var a Active
@@ -304,7 +276,6 @@ func TestRecordAllocFree(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		tr.Begin(&a, "q")
 		a.Record("filter", st, time.Millisecond).SetAttr("scanned", 10)
-		a.RecordShared("scan", 7, st, time.Millisecond)
 		sp := a.StartSpan("write")
 		sp.End()
 		a.Finish()
